@@ -7,7 +7,7 @@
 //! * **kernels** — GFLOP/s of the naive reference matmul vs the tiled
 //!   GEMM at 1 and 4 configured worker threads, over a size ladder,
 //!   plus the fused f16-dequant GEMM against its decode-then-multiply
-//!   equivalent;
+//!   equivalent, and GB/s of the f16 blob encoder and decoder;
 //! * **attention** — attention cells/s of the streaming tiled causal
 //!   attention (forward and backward) vs the materialized-score naive
 //!   oracle over a sequence-length ladder, the streaming/naive speedup
@@ -15,11 +15,14 @@
 //!   any growth fails the check), and steady-state allocation counts
 //!   for both streaming kernels (asserted zero);
 //! * **adam** — elements/s of the flat-buffer CPU Adam step at 1 and 4
-//!   threads, plus steady-state allocation counts for the hot kernels
-//!   (asserted zero: regressions reintroducing per-call allocation fail
-//!   the bench, not just slow it down);
+//!   threads, plus steady-state allocation counts for the hot kernels and
+//!   the optimizer's in-store update (asserted zero: regressions
+//!   reintroducing per-call allocation fail the bench, not just slow it
+//!   down);
 //! * **ssd** — GB/s of the SSD tier per route: per-blob random writes vs
-//!   one coalesced `put_batch` segment write, and the read-back path;
+//!   one coalesced `put_batch` segment write, and the read-back path,
+//!   plus the allocation count of a GPU<->host round trip (zero: hops
+//!   move ownership, not bytes);
 //! * **executor** — steps/s of the schedule-driven resource-pool
 //!   executor vs both legacy stage loops on a route-throttled engine
 //!   (so transfer overlap, not raw compute, decides the ranking), plus
@@ -41,8 +44,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use ratel::engine::optimizer::adam_update_in_store;
 use ratel_storage::{Tier, TierConfig, TieredStore};
-use ratel_tensor::{gemm, ops, set_num_threads, Adam, AdamParams, Tensor};
+use ratel_tensor::{dtype, gemm, ops, set_num_threads, Adam, AdamParams, Tensor};
 
 /// Schema tag every BENCH file must carry.
 pub const SCHEMA: &str = "ratel-bench-perf/1";
@@ -347,6 +351,27 @@ fn run_kernels(smoke: bool) -> PerfSuite {
         metric: "gflops".into(),
         value: flops / decode_s / 1e9,
     });
+    // The f16 blob codec (P16/G16/A16 on every tier hop), in f16 bytes
+    // per second.
+    let n = 1 << 20;
+    let vals = fill(n, 12);
+    let mut f16_bytes = vec![0u8; 2 * n];
+    let encode_s = time_min_for(0.3, || {
+        dtype::encode_f16_into(&vals, &mut f16_bytes);
+        std::hint::black_box(&mut f16_bytes);
+    });
+    let mut decoded = vec![0.0f32; n];
+    let decode_s = time_min_for(0.3, || {
+        dtype::decode_f16_into(&f16_bytes, &mut decoded);
+        std::hint::black_box(&mut decoded);
+    });
+    for (name, secs) in [("f16_encode_gbps", encode_s), ("f16_decode_gbps", decode_s)] {
+        entries.push(PerfEntry {
+            name: name.into(),
+            metric: "gbps".into(),
+            value: (2 * n) as f64 / secs / 1e9,
+        });
+    }
     PerfSuite {
         suite: "kernels".into(),
         calibration: 0.0,
@@ -609,6 +634,26 @@ fn run_adam(smoke: bool) -> PerfSuite {
         }),
     });
 
+    // The optimizer's in-store update: master and moments borrowed from
+    // host memory and updated through an f32 view, no copy.
+    let store = TieredStore::new(TierConfig::unbounded_temp()).expect("open bench store");
+    store
+        .put("master", Tier::Host, dtype::encode_f32(&fill(m, 7)))
+        .expect("stage master");
+    store
+        .put("moments", Tier::Host, vec![0u8; 8 * m])
+        .expect("stage moments");
+    let mut t = 0;
+    entries.push(PerfEntry {
+        name: "adam_in_store_update_allocs_per_call".into(),
+        metric: "allocs".into(),
+        value: min_allocs_per_call(10, || {
+            t += 1;
+            adam_update_in_store(&store, "master", "moments", &grads_s, t, &hp)
+                .expect("in-store update");
+        }),
+    });
+
     PerfSuite {
         suite: "adam".into(),
         calibration: 0.0,
@@ -711,6 +756,28 @@ fn run_ssd(smoke: bool) -> Result<PerfSuite, String> {
             metric: "gbps".into(),
             value: total / best_read / 1e9,
         });
+    }
+
+    // A GPU<->host hop hands the blob over by ownership: a round trip
+    // allocates nothing.
+    store
+        .put("hop", Tier::Host, vec![0x5Au8; 1 << 20])
+        .map_err(|e| e.to_string())?;
+    let mut failed = None;
+    entries.push(PerfEntry {
+        name: "store_move_host_gpu_allocs_per_call".into(),
+        metric: "allocs".into(),
+        value: min_allocs_per_call(10, || {
+            let hop = store
+                .move_to("hop", Tier::Gpu)
+                .and_then(|()| store.move_to("hop", Tier::Host));
+            if let Err(e) = hop {
+                failed.get_or_insert(e);
+            }
+        }),
+    });
+    if let Some(e) = failed {
+        return Err(e.to_string());
     }
 
     Ok(PerfSuite {
@@ -1382,6 +1449,7 @@ mod tests {
             "adam_step_serial_allocs_per_call",
             "add_bias_allocs_per_call",
             "adam_flat_roundtrip_allocs_per_call",
+            "adam_in_store_update_allocs_per_call",
         ] {
             let e = adam_suite
                 .entries
@@ -1390,6 +1458,13 @@ mod tests {
                 .expect(name);
             assert_eq!(e.value, 0.0, "{name} allocates at steady state");
         }
+        let ssd_suite = run_suite("ssd", true).unwrap();
+        let e = ssd_suite
+            .entries
+            .iter()
+            .find(|e| e.name == "store_move_host_gpu_allocs_per_call")
+            .expect("store move entry");
+        assert_eq!(e.value, 0.0, "a GPU<->host hop copies its blob");
         // The streaming attention kernels run out of the scratch pool
         // once warmed: a full forward + backward step allocates nothing.
         let attn_suite = run_suite("attention", true).unwrap();

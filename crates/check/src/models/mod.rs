@@ -8,8 +8,9 @@
 //!   (`crates/obs/src/flight.rs`): invalidate-stamp / payload / publish-
 //!   stamp writer vs. stamp / payload / stamp-recheck reader.
 //! * [`pending`] — the `TieredStore` pending-key condvar protocol
-//!   (`crates/storage/src/store.rs`): I/O marked pending outside the
-//!   lock, waiters blocked on a condvar until the key clears.
+//!   (`crates/storage/src/store.rs`): a key's bytes leave the map for
+//!   SSD I/O or an in-place borrow with the key marked pending outside
+//!   the lock; waiters block on a condvar until the bytes are back.
 //! * [`exec`] — the dependency-counted ready queues of the executor
 //!   (`crates/core/src/engine/executor.rs`): upstream completions
 //!   decrement a dependency counter; the final decrement enqueues.

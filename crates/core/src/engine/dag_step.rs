@@ -22,12 +22,13 @@ use ratel_check::sync::Mutex;
 use ratel_sim::{TaskGraph, TaskId};
 use ratel_storage::telemetry::SpanCategory;
 use ratel_storage::{StorageError, Tier, TieredStore};
-use ratel_tensor::dtype::{decode_f16, decode_f32, encode_f16, encode_f32};
+use ratel_tensor::dtype::{decode_f16, encode_f16};
 use ratel_tensor::{
-    block_dropout_spec, Adam, AdamParams, BlockSaved, GptModel, HeadSaved, ParamLayer, Tensor,
+    block_dropout_spec, AdamParams, BlockSaved, GptModel, HeadSaved, ParamLayer, Tensor,
 };
 
 use super::executor::TaskAction;
+use super::optimizer::{adam_update_in_store, stage_states, write_back};
 use super::scaler::prepare_gradient;
 use super::{
     act_key, ckpt_key, grad_key, master_key, moments_key, p16_key, ActDecision, EngineConfig,
@@ -203,19 +204,9 @@ impl StepDag {
     }
 }
 
-/// One layer's computed Adam update, parked between the CPU compute
-/// task and the SSD write-back task.
-struct OptUpdate {
-    master: Vec<f32>,
-    moments: Vec<f32>,
-    /// False when the unscaled gradient overflowed and the update was
-    /// skipped — write-back then only returns the untouched states.
-    applied: bool,
-}
-
-/// Stores an f16 blob in the GPU tier and swaps it to `target` —
-/// identical to the legacy engine's offload helper.
-fn offload_f16(
+/// Stores an f16 blob in the GPU tier and swaps it to `target`: the
+/// offload leg of checkpoints, activations and gradients.
+pub(super) fn offload_f16(
     store: &TieredStore,
     key: &str,
     bytes: Vec<u8>,
@@ -226,8 +217,33 @@ fn offload_f16(
     Ok(())
 }
 
-/// Fetches an f16 blob back to the GPU tier and removes it, returning
-/// the bytes — identical to the legacy engine's fetch helper.
+/// Fetches an f16 blob back to the GPU tier and takes it out of the
+/// store, returning its bytes.
+pub(super) fn fetch_f16(store: &TieredStore, key: &str) -> Result<Vec<u8>, StorageError> {
+    store.move_to(key, Tier::Gpu)?;
+    store.take(key)
+}
+
+/// Takes a staged P16 blob out of the store and decodes it into the
+/// layer skeleton (0 = embedding, 1..=L = blocks, L+1 = head).
+pub(super) fn load_staged(
+    store: &TieredStore,
+    model: &mut GptModel,
+    layer: usize,
+    staged: &str,
+) -> Result<(), StorageError> {
+    let flat = decode_f16(&store.take(staged)?);
+    let blocks = model.blocks.len();
+    if layer == 0 {
+        model.embedding.set_params_flat(&flat);
+    } else if layer <= blocks {
+        model.blocks[layer - 1].set_params_flat(&flat);
+    } else {
+        model.head.set_params_flat(&flat);
+    }
+    Ok(())
+}
+
 /// A step-DAG slot protocol violation: a task ran before the dependency
 /// that fills the slot it consumes. The verifier proves the plan's edges
 /// make this unreachable, so hitting it means executor or lowering bug —
@@ -237,13 +253,6 @@ fn slot_violation(what: &str) -> StorageError {
     StorageError::Io(std::io::Error::other(format!(
         "step-DAG slot protocol violated: expected {what}"
     )))
-}
-
-fn fetch_f16(store: &TieredStore, key: &str) -> Result<Vec<u8>, StorageError> {
-    store.move_to(key, Tier::Gpu)?;
-    let bytes = store.read(key)?;
-    store.remove(key)?;
-    Ok(bytes)
 }
 
 /// The staged-copy key a layer's P16 uses for one pass. Forward and
@@ -290,8 +299,10 @@ pub(super) struct StepCtx<'a> {
     /// Per layer: raw (scaled) f32 gradient between backward and
     /// grad-off.
     grads: Vec<Mutex<Option<Vec<f32>>>>,
-    /// Per layer: the Adam update between opt-cpu and opt-write.
-    updates: Vec<Mutex<Option<OptUpdate>>>,
+    /// Per layer: whether opt-cpu applied the Adam update in place
+    /// (false when the unscaled gradient overflowed and it was skipped),
+    /// read by opt-write.
+    updates: Vec<Mutex<Option<bool>>>,
     /// Layers whose update was skipped on gradient overflow.
     skipped: Mutex<Vec<usize>>,
     loss: Mutex<f32>,
@@ -392,18 +403,7 @@ impl<'a> StepCtx<'a> {
         layer: usize,
         pass: char,
     ) -> Result<(), StorageError> {
-        let staged = staged_key(layer, pass);
-        let flat = decode_f16(&self.store.read(&staged)?);
-        let l = self.config.model.layers;
-        if layer == 0 {
-            model.embedding.set_params_flat(&flat);
-        } else if layer <= l {
-            model.blocks[layer - 1].set_params_flat(&flat);
-        } else {
-            model.head.set_params_flat(&flat);
-        }
-        self.store.remove(&staged)?;
-        Ok(())
+        load_staged(self.store, model, layer, &staged_key(layer, pass))
     }
 
     /// The layer's forward kernels. The span starts after the staged
@@ -626,8 +626,7 @@ impl<'a> StepCtx<'a> {
     fn opt_read(&self, layer: usize) -> Result<(), StorageError> {
         let rec = self.store.telemetry();
         let t = rec.enabled().then(|| rec.now());
-        self.store.move_to(&master_key(layer), Tier::Host)?;
-        self.store.move_to(&moments_key(layer), Tier::Host)?;
+        stage_states(self.store, layer)?;
         if let Some(t) = t {
             rec.record_span(
                 "opt-prefetch",
@@ -640,15 +639,13 @@ impl<'a> StepCtx<'a> {
         Ok(())
     }
 
-    /// Decode the G16 gradient and run the f32 Adam step over the
-    /// staged states — span-for-span the legacy updater's read + cpu
+    /// Decode the G16 gradient and run the f32 Adam step in place on
+    /// the staged states — span-for-span the legacy updater's read + cpu
     /// phases.
     fn opt_cpu(&self, layer: usize) -> Result<(), StorageError> {
         let rec = self.store.telemetry();
         let t_read = rec.enabled().then(|| rec.now());
-        let key = grad_key(layer);
-        let mut grads = decode_f16(&self.store.read(&key)?);
-        self.store.remove(&key)?;
+        let mut grads = decode_f16(&self.store.take(&grad_key(layer))?);
         if let Some(t) = t_read {
             rec.record_span(
                 "cpu-opt",
@@ -659,82 +656,56 @@ impl<'a> StepCtx<'a> {
             );
         }
         let t_cpu = rec.enabled().then(|| rec.now());
-        if prepare_gradient(&mut grads, self.scale, self.config.grad_clip).is_some() {
-            let mut master = decode_f32(&self.store.read(&master_key(layer))?);
-            let moments = decode_f32(&self.store.read(&moments_key(layer))?);
-            let mut state = Adam::new(0);
-            state.load_flat(&moments, self.layer_steps[layer]);
-            state.step(&mut master, &grads, &self.adam);
-            if let Some(t) = t_cpu {
-                rec.record_span(
-                    "cpu-opt",
-                    SpanCategory::Optimizer,
-                    format!("opt-cpu L{layer}"),
-                    t,
-                    rec.now(),
-                );
-            }
-            let mut flat = Vec::new();
-            state.write_flat_into(&mut flat);
-            *self.updates[layer].lock() = Some(OptUpdate {
-                master,
-                moments: flat,
-                applied: true,
-            });
+        let applied = prepare_gradient(&mut grads, self.scale, self.config.grad_clip).is_some();
+        if applied {
+            adam_update_in_store(
+                self.store,
+                &master_key(layer),
+                &moments_key(layer),
+                &grads,
+                self.layer_steps[layer] + 1,
+                &self.adam,
+            )?;
         } else {
-            if let Some(t) = t_cpu {
-                rec.record_span(
-                    "cpu-opt",
-                    SpanCategory::Other,
-                    format!("skip L{layer}"),
-                    t,
-                    rec.now(),
-                );
-            }
             self.skipped.lock().push(layer);
-            *self.updates[layer].lock() = Some(OptUpdate {
-                master: Vec::new(),
-                moments: Vec::new(),
-                applied: false,
-            });
         }
+        if let Some(t) = t_cpu {
+            let (category, kind) = if applied {
+                (SpanCategory::Optimizer, "opt-cpu")
+            } else {
+                (SpanCategory::Other, "skip")
+            };
+            rec.record_span(
+                "cpu-opt",
+                category,
+                format!("{kind} L{layer}"),
+                t,
+                rec.now(),
+            );
+        }
+        *self.updates[layer].lock() = Some(applied);
         Ok(())
     }
 
-    /// Write the updated P32 + OS32 back and publish the fresh P16 —
-    /// the legacy updater's Main->SSD leg (or, on a skipped update,
-    /// just return the untouched states).
+    /// Publish the fresh P16 and return P32 + OS32 to the SSD tier — the
+    /// legacy updater's Main->SSD leg (or, on a skipped update, just
+    /// return the untouched states).
     fn opt_write(&self, layer: usize) -> Result<(), StorageError> {
-        let update = self.updates[layer]
+        let applied = self.updates[layer]
             .lock()
             .take()
-            .ok_or_else(|| slot_violation("opt-cpu parked this layer's update"))?;
-        if update.applied {
-            let rec = self.store.telemetry();
-            let t = rec.enabled().then(|| rec.now());
-            self.store
-                .overwrite(&master_key(layer), encode_f32(&update.master))?;
-            self.store
-                .overwrite(&moments_key(layer), encode_f32(&update.moments))?;
-            let p16 = p16_key(layer);
-            self.store.remove(&p16)?;
-            self.store
-                .put(&p16, Tier::Host, encode_f16(&update.master))?;
-            self.store.move_to(&p16, Tier::Ssd)?;
-            self.store.move_to(&master_key(layer), Tier::Ssd)?;
-            self.store.move_to(&moments_key(layer), Tier::Ssd)?;
-            if let Some(t) = t {
-                rec.record_span(
-                    "cpu-opt",
-                    SpanCategory::Optimizer,
-                    format!("opt-write L{layer}"),
-                    t,
-                    rec.now(),
-                );
-            }
-        } else {
-            self.store.move_to(&master_key(layer), Tier::Ssd)?;
-            self.store.move_to(&moments_key(layer), Tier::Ssd)?;
+            .ok_or_else(|| slot_violation("opt-cpu recorded this layer's update"))?;
+        let rec = self.store.telemetry();
+        let t = rec.enabled().then(|| rec.now());
+        write_back(self.store, layer, applied)?;
+        if let (Some(t), true) = (t, applied) {
+            rec.record_span(
+                "cpu-opt",
+                SpanCategory::Optimizer,
+                format!("opt-write L{layer}"),
+                t,
+                rec.now(),
+            );
         }
         Ok(())
     }

@@ -39,13 +39,15 @@ use std::sync::Arc;
 use ratel_obs::EventKind;
 use ratel_storage::telemetry::{FaultStats, SpanCategory, TelemetryRecorder};
 use ratel_storage::{Route, StorageError, Tier, TierConfig, TieredStore, TrafficSnapshot};
-use ratel_tensor::dtype::{decode_f16, decode_f32, encode_f16, encode_f32, round_to_f16};
+use ratel_tensor::dtype::{
+    decode_f16, decode_f32, encode_f16, encode_f32, round_to_f16, with_f32_mut,
+};
 use ratel_tensor::{
-    block_dropout_spec, Adam, AdamParams, BlockSaved, GptConfig, GptModel, KvCache, ParamLayer,
-    Tensor,
+    block_dropout_spec, AdamParams, BlockSaved, GptConfig, GptModel, KvCache, ParamLayer, Tensor,
 };
 
 use crate::error::RatelError;
+use dag_step::{fetch_f16, load_staged, offload_f16};
 use lr::LrSchedule;
 use optimizer::{ActiveOptimizer, GradMessage};
 use scaler::{LossScaler, ScalePolicy};
@@ -609,10 +611,8 @@ impl RatelEngine {
             // P16 is what the GPU computes with: the f16 rounding of the
             // master, exactly what the optimizer will emit after steps.
             p16s.push((p16_key(layer), encode_f16(&master)));
-            moments.push((
-                moments_key(layer),
-                encode_f32(&Adam::new(master.len()).to_flat()),
-            ));
+            // Fresh `[m..., v...]` moments: 2n zero f32s.
+            moments.push((moments_key(layer), vec![0u8; 8 * master.len()]));
             masters.push((master_key(layer), encode_f32(&master)));
         }
         self.store.put_batch(Tier::Ssd, masters)?;
@@ -627,22 +627,7 @@ impl RatelEngine {
         let key = p16_key(layer);
         let staged = format!("{key}#staged");
         self.store.copy_to(&key, &staged, Tier::Gpu)?;
-        self.load_staged(layer, &staged)
-    }
-
-    /// Decodes a staged P16 blob into the layer skeleton and frees it.
-    fn load_staged(&mut self, layer: usize, staged: &str) -> Result<(), StorageError> {
-        let flat = decode_f16(&self.store.read(staged)?);
-        let l = self.config.model.layers;
-        if layer == 0 {
-            self.model.embedding.set_params_flat(&flat);
-        } else if layer <= l {
-            self.model.blocks[layer - 1].set_params_flat(&flat);
-        } else {
-            self.model.head.set_params_flat(&flat);
-        }
-        self.store.remove(staged)?;
-        Ok(())
+        load_staged(&self.store, &mut self.model, layer, &staged)
     }
 
     /// Stages a layer either serially or from the prefetch pipeline.
@@ -654,7 +639,7 @@ impl RatelEngine {
         match pf {
             Some(pf) => {
                 let staged = pf.next()?;
-                self.load_staged(layer, &staged)
+                load_staged(&self.store, &mut self.model, layer, &staged)
             }
             None => self.stage_params(layer),
         }
@@ -668,22 +653,6 @@ impl RatelEngine {
         order.extend((1..=l).rev());
         order.push(0);
         order
-    }
-
-    /// Stores an f16 blob in the GPU tier and swaps it to `target`.
-    fn offload_f16(&self, key: &str, bytes: Vec<u8>, target: Tier) -> Result<(), StorageError> {
-        self.store.put(key, Tier::Gpu, bytes)?;
-        self.store.move_to(key, target)?;
-        Ok(())
-    }
-
-    /// Fetches an f16 blob back to the GPU tier and removes it, returning
-    /// the bytes.
-    fn fetch_f16(&self, key: &str) -> Result<Vec<u8>, StorageError> {
-        self.store.move_to(key, Tier::Gpu)?;
-        let bytes = self.store.read(key)?;
-        self.store.remove(key)?;
-        Ok(bytes)
     }
 
     /// Runs one full training step (forward, backward with swapped or
@@ -847,8 +816,7 @@ impl RatelEngine {
             }
             let akey = accum_key(layer);
             if eng.store.contains(&akey) {
-                let acc = decode_f32(&eng.store.read(&akey)?);
-                eng.store.remove(&akey)?;
+                let acc = decode_f32(&eng.store.take(&akey)?);
                 for (g, a) in grads.iter_mut().zip(&acc) {
                     *g = (round_to_f16(*g) + a) * inv_n;
                 }
@@ -877,16 +845,17 @@ impl RatelEngine {
     /// crosses the GPU->host link like any G16 offload.
     fn accumulate_gradient(&self, layer: usize, grads: Vec<f32>) -> Result<(), StorageError> {
         let gkey = format!("layer{layer}/grad-micro");
-        self.offload_f16(&gkey, encode_f16(&grads), Tier::Host)?;
-        let g16 = decode_f16(&self.store.read(&gkey)?);
-        self.store.remove(&gkey)?;
+        offload_f16(&self.store, &gkey, encode_f16(&grads), Tier::Host)?;
+        let g16 = decode_f16(&self.store.take(&gkey)?);
         let akey = accum_key(layer);
         if self.store.contains(&akey) {
-            let mut acc = decode_f32(&self.store.read(&akey)?);
-            for (a, g) in acc.iter_mut().zip(&g16) {
-                *a += g;
-            }
-            self.store.overwrite(&akey, encode_f32(&acc))?;
+            optimizer::update_blobs(&self.store, [akey.as_str()], |[acc]| {
+                with_f32_mut(acc, |acc| {
+                    for (a, g) in acc.iter_mut().zip(&g16) {
+                        *a += g;
+                    }
+                })
+            })?;
         } else {
             self.store.put(&akey, Tier::Host, encode_f32(&g16))?;
         }
@@ -1038,7 +1007,7 @@ impl RatelEngine {
             // Each block's *input* is its checkpoint (the inter-block A16
             // of the paper), always swapped so backward can run
             // layer-at-a-time without holding the whole graph.
-            self.offload_f16(&ckpt_key(b + 1), x.to_f16_bytes(), Tier::Host)?;
+            offload_f16(&self.store, &ckpt_key(b + 1), x.to_f16_bytes(), Tier::Host)?;
             self.stage_via(b + 1, &mut pf)?;
             let spec = self
                 .config
@@ -1058,10 +1027,10 @@ impl RatelEngine {
             saved.quantize_f16();
             match self.config.act_decisions[b] {
                 ActDecision::SwapToHost => {
-                    self.offload_f16(&act_key(b), saved.to_f16_bytes(), Tier::Host)?;
+                    offload_f16(&self.store, &act_key(b), saved.to_f16_bytes(), Tier::Host)?;
                 }
                 ActDecision::SwapToSsd => {
-                    self.offload_f16(&act_key(b), saved.to_f16_bytes(), Tier::Ssd)?;
+                    offload_f16(&self.store, &act_key(b), saved.to_f16_bytes(), Tier::Ssd)?;
                 }
                 ActDecision::Recompute => drop(saved),
             }
@@ -1107,7 +1076,7 @@ impl RatelEngine {
         for b in (0..l).rev() {
             let t = rec.enabled().then(|| rec.now());
             let rows = c.batch * c.seq;
-            let ckpt = self.fetch_f16(&ckpt_key(b + 1))?;
+            let ckpt = fetch_f16(&self.store, &ckpt_key(b + 1))?;
             let input = Tensor::from_f16_bytes(&[rows, c.hidden], &ckpt);
             self.stage_via(b + 1, &mut pf)?;
             let spec = self
@@ -1116,7 +1085,7 @@ impl RatelEngine {
                 .map(|p| block_dropout_spec(p, self.dropout_step_seed(), b));
             let saved = match self.config.act_decisions[b] {
                 ActDecision::SwapToHost | ActDecision::SwapToSsd => {
-                    let bytes = self.fetch_f16(&act_key(b))?;
+                    let bytes = fetch_f16(&self.store, &act_key(b))?;
                     BlockSaved::from_f16_bytes(&bytes, c.batch, c.seq, c.hidden, c.heads)
                 }
                 ActDecision::Recompute => {
@@ -1179,7 +1148,7 @@ impl RatelEngine {
         let rec = self.store.telemetry();
         let t = rec.enabled().then(|| rec.now());
         let key = grad_key(layer);
-        self.offload_f16(&key, encode_f16(&grads), Tier::Host)?;
+        offload_f16(&self.store, &key, encode_f16(&grads), Tier::Host)?;
         optimizer.submit(GradMessage { layer, key });
         if let Some(t) = t {
             rec.record_span(
@@ -1329,11 +1298,11 @@ impl RatelEngine {
                 let mut cache = if pos == 0 {
                     KvCache::new(c.heads, d)
                 } else {
-                    let bytes = self.fetch_f16(&kv_key(b))?;
+                    let bytes = fetch_f16(&self.store, &kv_key(b))?;
                     KvCache::from_f16_bytes(&bytes, c.heads, d, pos)
                 };
                 let y = self.model.blocks[b].forward_cached(&x_t, &mut cache);
-                self.offload_f16(&kv_key(b), cache.to_f16_bytes(), Tier::Host)?;
+                offload_f16(&self.store, &kv_key(b), cache.to_f16_bytes(), Tier::Host)?;
                 x_t = y.quantize_f16();
             }
             if pos + 1 >= prompt.len() && out.len() < max_new_tokens {
@@ -1399,11 +1368,11 @@ impl RatelEngine {
                 let mut cache = if pos == 0 {
                     KvCache::new(c.heads, d)
                 } else {
-                    let bytes = self.fetch_f16(&kv_key(b))?;
+                    let bytes = fetch_f16(&self.store, &kv_key(b))?;
                     KvCache::from_f16_bytes(&bytes, c.heads, d, pos)
                 };
                 let y = self.model.blocks[b].forward_cached(&x_t, &mut cache);
-                self.offload_f16(&kv_key(b), cache.to_f16_bytes(), Tier::Host)?;
+                offload_f16(&self.store, &kv_key(b), cache.to_f16_bytes(), Tier::Host)?;
                 x_t = y.quantize_f16();
             }
             if pos + 1 >= prompt.len() && out.len() < max_new_tokens {

@@ -29,8 +29,8 @@ use ratel_storage::telemetry::SpanCategory;
 use ratel_storage::{StorageError, Tier, TieredStore};
 
 use crate::error::RatelError;
-use ratel_tensor::dtype::{decode_f16, decode_f32, encode_f16, encode_f32};
-use ratel_tensor::{Adam, AdamParams};
+use ratel_tensor::dtype::{decode_f16, encode_f16, with_f32_mut};
+use ratel_tensor::{adam_update, AdamParams};
 
 use super::scaler::prepare_gradient;
 use super::{master_key, moments_key, p16_key};
@@ -91,8 +91,7 @@ impl ActiveOptimizer {
                     for layer in order2 {
                         let rec = store2.telemetry();
                         let t = rec.enabled().then(|| rec.now());
-                        store2.move_to(&master_key(layer), Tier::Host)?;
-                        store2.move_to(&moments_key(layer), Tier::Host)?;
+                        stage_states(&store2, layer)?;
                         if let Some(t) = t {
                             let rec = store2.telemetry();
                             rec.record_span(
@@ -219,37 +218,23 @@ fn update_loop(
     // availability + gradient decode), a cpu (Adam math), and a write
     // (state write-back) span — or a `skip` span on overflow.
     let rec = std::sync::Arc::clone(store.telemetry());
-    // One Adam state and one flat blob buffer live across all layers:
-    // `load_flat`/`write_flat_into` reuse their capacity, so the per-layer
-    // state round-trip costs zero allocations at steady state.
-    let mut state = Adam::new(0);
-    let mut flat_buf: Vec<f32> = Vec::new();
     // Returns true if the layer's update was applied, false if skipped.
-    let mut process = |msg: &GradMessage| -> Result<bool, StorageError> {
+    let process = |msg: &GradMessage| -> Result<bool, StorageError> {
         let t_read = rec.enabled().then(|| rec.now());
-        if let Some(rx) = &staged_rx {
-            // Wait for the prefetcher to stage this layer's states. Arrival
-            // order matches `order`, so this is the same layer. A `None`
-            // means the prefetcher died early (its error surfaces on
-            // join); stage the states ourselves so the update still
-            // lands instead of reading stale-tier state.
-            let staged = rx.recv().ok();
-            if staged != Some(msg.layer) {
-                store.move_to(&master_key(msg.layer), Tier::Host)?;
-                store.move_to(&moments_key(msg.layer), Tier::Host)?;
-            }
-        } else {
-            // Separate-stage / no prefetcher: fetch states ourselves
-            // (serialized SSD→Main, the naive handler's first step).
-            store.move_to(&master_key(msg.layer), Tier::Host)?;
-            store.move_to(&moments_key(msg.layer), Tier::Host)?;
+        // Wait for the prefetcher to stage this layer's states. Arrival
+        // order matches `order`, so this is the same layer. A `None`
+        // means the prefetcher died early (its error surfaces on join);
+        // without a prefetcher (separate stage) there is nothing to wait
+        // for. Either way the updater stages the states itself.
+        let staged = staged_rx.as_ref().and_then(|rx| rx.recv().ok());
+        if staged != Some(msg.layer) {
+            stage_states(&store, msg.layer)?;
         }
 
         // CPU compute: f32 Adam over the staged states, consuming the G16
         // gradient that backward just offloaded (unscale, overflow check,
         // optional per-layer clip first — see `scaler`).
-        let mut grads = decode_f16(&store.read(&msg.key)?);
-        store.remove(&msg.key)?;
+        let mut grads = decode_f16(&store.take(&msg.key)?);
         if let Some(t) = t_read {
             rec.record_span(
                 "cpu-opt",
@@ -260,59 +245,44 @@ fn update_loop(
             );
         }
         let t_cpu = rec.enabled().then(|| rec.now());
-        let applied = if prepare_gradient(&mut grads, loss_scale, grad_clip).is_some() {
-            let mut master = decode_f32(&store.read(&master_key(msg.layer))?);
-            let moments = decode_f32(&store.read(&moments_key(msg.layer))?);
-            state.load_flat(&moments, layer_steps[msg.layer]);
-            state.step(&mut master, &grads, &adam);
-            if let Some(t) = t_cpu {
-                rec.record_span(
-                    "cpu-opt",
-                    SpanCategory::Optimizer,
-                    format!("opt-cpu L{}", msg.layer),
-                    t,
-                    rec.now(),
-                );
-            }
-
-            // Main→SSD: write back P32 + OS32 and publish the fresh P16.
-            let t_write = rec.enabled().then(|| rec.now());
-            store.overwrite(&master_key(msg.layer), encode_f32(&master))?;
-            state.write_flat_into(&mut flat_buf);
-            store.overwrite(&moments_key(msg.layer), encode_f32(&flat_buf))?;
-            let p16 = p16_key(msg.layer);
-            store.remove(&p16)?;
-            store.put(&p16, Tier::Host, encode_f16(&master))?;
-            store.move_to(&p16, Tier::Ssd)?;
-            // States return to the SSD tier (they were staged out).
-            store.move_to(&master_key(msg.layer), Tier::Ssd)?;
-            store.move_to(&moments_key(msg.layer), Tier::Ssd)?;
-            if let Some(t) = t_write {
-                rec.record_span(
-                    "cpu-opt",
-                    SpanCategory::Optimizer,
-                    format!("opt-write L{}", msg.layer),
-                    t,
-                    rec.now(),
-                );
-            }
-            true
-        } else {
-            // Overflow skip: record the decision, return the untouched
-            // states to the SSD tier.
-            if let Some(t) = t_cpu {
-                rec.record_span(
-                    "cpu-opt",
-                    SpanCategory::Other,
-                    format!("skip L{}", msg.layer),
-                    t,
-                    rec.now(),
-                );
-            }
-            store.move_to(&master_key(msg.layer), Tier::Ssd)?;
-            store.move_to(&moments_key(msg.layer), Tier::Ssd)?;
-            false
-        };
+        let applied = prepare_gradient(&mut grads, loss_scale, grad_clip).is_some();
+        if applied {
+            adam_update_in_store(
+                &store,
+                &master_key(msg.layer),
+                &moments_key(msg.layer),
+                &grads,
+                layer_steps[msg.layer] + 1,
+                &adam,
+            )?;
+        }
+        if let Some(t) = t_cpu {
+            let (category, kind) = if applied {
+                (SpanCategory::Optimizer, "opt-cpu")
+            } else {
+                (SpanCategory::Other, "skip")
+            };
+            rec.record_span(
+                "cpu-opt",
+                category,
+                format!("{kind} L{}", msg.layer),
+                t,
+                rec.now(),
+            );
+        }
+        // Main→SSD: publish the fresh P16 and return the states (an
+        // overflow skip returns them untouched).
+        let t_write = rec.enabled().then(|| rec.now());
+        write_back(&store, msg.layer, applied)?;
+        if let (Some(t), true) = (t_write, applied) {
+            rec.record_span(
+                "cpu-opt",
+                SpanCategory::Optimizer,
+                format!("opt-write L{}", msg.layer),
+                t,
+                rec.now(),
+            );
+        }
         Ok(applied)
     };
 
@@ -337,10 +307,105 @@ fn update_loop(
     Ok(skipped)
 }
 
+/// Stages a layer's master (P32) and moments (OS32) from the SSD tier
+/// into host memory — the optimizer handler's SSD→Main leg.
+pub(super) fn stage_states(store: &TieredStore, layer: usize) -> Result<(), StorageError> {
+    store.move_to(&master_key(layer), Tier::Host)?;
+    store.move_to(&moments_key(layer), Tier::Host)
+}
+
+/// Runs `f` over the bytes of the blobs `keys` in place
+/// ([`TieredStore::with_blobs_mut`]). Blobs that host-pressure spilling
+/// left on the SSD tier are read, updated and overwritten there instead,
+/// which gives the same bytes and meters the same (no) traffic.
+pub(super) fn update_blobs<const N: usize, R>(
+    store: &TieredStore,
+    keys: [&str; N],
+    mut f: impl FnMut([&mut [u8]; N]) -> R,
+) -> Result<R, StorageError> {
+    match store.with_blobs_mut(keys, &mut f) {
+        Err(StorageError::NotInMemory(_)) => {
+            let mut blobs: [Vec<u8>; N] = std::array::from_fn(|_| Vec::new());
+            for (blob, key) in blobs.iter_mut().zip(keys) {
+                *blob = store.read(key)?;
+            }
+            let result = f(blobs.each_mut().map(|b| b.as_mut_slice()));
+            for (blob, key) in blobs.into_iter().zip(keys) {
+                store.overwrite(key, blob)?;
+            }
+            Ok(result)
+        }
+        other => other,
+    }
+}
+
+/// Runs one Adam step in place on a layer's staged master (P32) and
+/// `[m..., v...]` moments (OS32) blobs: the bytes are borrowed from the
+/// store and viewed as `f32`, so the update copies and allocates
+/// nothing. `t` is the layer's 1-based update number. Bitwise the same
+/// as decoding both blobs, running [`ratel_tensor::Adam::step`] and
+/// encoding them back.
+///
+/// # Errors
+/// Storage errors from the borrow, or a typed error if the blob sizes do
+/// not match `grads`.
+pub fn adam_update_in_store(
+    store: &TieredStore,
+    master_key: &str,
+    moments_key: &str,
+    grads: &[f32],
+    t: u64,
+    hp: &AdamParams,
+) -> Result<(), StorageError> {
+    update_blobs(store, [master_key, moments_key], |[master, moments]| {
+        if master.len() != 4 * grads.len() || moments.len() != 2 * master.len() {
+            return Err(StorageError::Io(std::io::Error::other(format!(
+                "optimizer state of {master_key:?} does not fit {} gradients: \
+                 {} master bytes, {} moment bytes",
+                grads.len(),
+                master.len(),
+                moments.len()
+            ))));
+        }
+        with_f32_mut(master, |params| {
+            with_f32_mut(moments, |mv| {
+                let (m, v) = mv.split_at_mut(params.len());
+                adam_update(params, grads, m, v, t, hp);
+            })
+        });
+        Ok(())
+    })?
+}
+
+/// Main→SSD leg of the optimizer handler: after an applied update,
+/// publishes the fresh P16 (the f16 rounding of the updated master);
+/// then returns master and moments to the SSD tier. A skipped update
+/// only returns the untouched states.
+pub(super) fn write_back(
+    store: &TieredStore,
+    layer: usize,
+    applied: bool,
+) -> Result<(), StorageError> {
+    let master = master_key(layer);
+    if applied {
+        let fresh = update_blobs(store, [master.as_str()], |[m]| {
+            with_f32_mut(m, |p| encode_f16(p))
+        })?;
+        let p16 = p16_key(layer);
+        store.remove(&p16)?;
+        store.put(&p16, Tier::Host, fresh)?;
+        store.move_to(&p16, Tier::Ssd)?;
+    }
+    store.move_to(&master, Tier::Ssd)?;
+    store.move_to(&moments_key(layer), Tier::Ssd)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use ratel_storage::TierConfig;
+    use ratel_tensor::dtype::{decode_f32, encode_f32};
+    use ratel_tensor::Adam;
 
     fn store_with_layer0() -> Arc<TieredStore> {
         let store = Arc::new(TieredStore::new(TierConfig::unbounded_temp()).unwrap());
@@ -408,5 +473,35 @@ mod tests {
         // The update itself landed despite the dead prefetcher.
         let master = decode_f32(&store.read(&master_key(0)).unwrap());
         assert_ne!(master, vec![1.0, 2.0], "update must have applied");
+    }
+
+    #[test]
+    fn in_store_update_matches_adam_step_in_memory_and_spilled() {
+        let n = 37;
+        let master: Vec<f32> = (0..n).map(|i| i as f32 * 0.01 - 0.2).collect();
+        let grads: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin()).collect();
+        let hp = AdamParams::default();
+        let mut want_p = master.clone();
+        let mut want = Adam::new(n);
+        want.step(&mut want_p, &grads, &hp);
+        want.step(&mut want_p, &grads, &hp);
+
+        for tier in [Tier::Host, Tier::Ssd] {
+            let store = TieredStore::new(TierConfig::unbounded_temp()).unwrap();
+            store.put("m", tier, encode_f32(&master)).unwrap();
+            store.put("v", tier, vec![0u8; 8 * n]).unwrap();
+            for t in 1..=2 {
+                adam_update_in_store(&store, "m", "v", &grads, t, &hp).unwrap();
+            }
+            assert_eq!(store.tier_of("m").unwrap(), tier);
+            assert_eq!(store.read("m").unwrap(), encode_f32(&want_p), "{tier:?}");
+            assert_eq!(store.read("v").unwrap(), encode_f32(&want.to_flat()));
+            assert_eq!(store.traffic().total(), 0);
+        }
+        let store = TieredStore::new(TierConfig::unbounded_temp()).unwrap();
+        store.put("m", Tier::Host, encode_f32(&master)).unwrap();
+        store.put("v", Tier::Host, vec![0u8; 4 * n]).unwrap();
+        assert!(adam_update_in_store(&store, "m", "v", &grads, 1, &hp).is_err());
+        assert_eq!(store.read("m").unwrap(), encode_f32(&master), "untouched");
     }
 }

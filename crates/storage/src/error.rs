@@ -22,6 +22,9 @@ pub enum StorageError {
     NotFound(String),
     /// The key already exists (put of a duplicate).
     AlreadyExists(String),
+    /// The operation works on bytes in memory, but the blob is on the
+    /// SSD tier (or the same key was named twice in one borrow).
+    NotInMemory(String),
     /// Underlying filesystem failure in the SSD tier.
     Io(std::io::Error),
     /// An SSD-tier fault (injected by a [`crate::FaultPlan`], or a real
@@ -49,6 +52,12 @@ impl fmt::Display for StorageError {
             ),
             StorageError::NotFound(k) => write!(f, "blob {k:?} not found"),
             StorageError::AlreadyExists(k) => write!(f, "blob {k:?} already exists"),
+            StorageError::NotInMemory(k) => {
+                write!(
+                    f,
+                    "blob {k:?} is not borrowable in memory (SSD-resident or repeated)"
+                )
+            }
             StorageError::Io(e) => write!(f, "ssd tier I/O error: {e}"),
             StorageError::Faulted { op, key, attempts } => write!(
                 f,

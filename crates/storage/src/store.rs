@@ -699,6 +699,73 @@ impl TieredStore {
         }
     }
 
+    /// Removes a blob and returns its bytes: [`TieredStore::read`] plus
+    /// [`TieredStore::remove`] without the copy. A memory-tier blob hands
+    /// over its buffer; an SSD-tier blob is read off disk, then removed.
+    pub fn take(&self, key: &str) -> Result<Vec<u8>, StorageError> {
+        let mut inner = self.lock_key(key);
+        if let Some((tier, data)) = inner.mem.remove(key) {
+            Self::add_used(&mut inner, tier, -(data.len() as i64));
+            return Ok(data);
+        }
+        drop(inner);
+        let bytes = self.read(key)?;
+        self.remove(key)?;
+        Ok(bytes)
+    }
+
+    /// Runs `f` over the bytes of the memory-tier blobs `keys`, borrowed
+    /// mutably and all at once — how the optimizer updates host-resident
+    /// state in place. No bytes are copied, no traffic is metered, and
+    /// every blob stays in (and accounted to) its tier.
+    ///
+    /// All keys are claimed together under one `lock_keys`:
+    /// their buffers leave the map, the keys are marked pending, and `f`
+    /// runs with the store lock released, so the update does not stall
+    /// unrelated keys while any operation on a borrowed key waits for it.
+    /// The buffers go back when `f` returns (or unwinds). `f` must not
+    /// touch the borrowed keys through the store — it would wait on
+    /// itself — and borrows never nest: a caller needing more blobs names
+    /// them all in one call.
+    ///
+    /// # Errors
+    /// [`StorageError::NotFound`] for a missing key,
+    /// [`StorageError::NotInMemory`] for an SSD-resident or repeated one;
+    /// nothing is borrowed then.
+    pub fn with_blobs_mut<const N: usize, R>(
+        &self,
+        keys: [&str; N],
+        f: impl FnOnce([&mut [u8]; N]) -> R,
+    ) -> Result<R, StorageError> {
+        let mut inner = self.lock_keys(&keys);
+        for (i, key) in keys.iter().enumerate() {
+            if keys[..i].contains(key) || inner.ssd.contains_key(*key) {
+                return Err(StorageError::NotInMemory(key.to_string()));
+            }
+            if !inner.mem.contains_key(*key) {
+                return Err(StorageError::NotFound(key.to_string()));
+            }
+        }
+        let mut borrowed = Borrowed {
+            store: self,
+            keys,
+            blobs: std::array::from_fn(|_| None),
+        };
+        for (key, slot) in keys.iter().zip(&mut borrowed.blobs) {
+            if let Some((owned, entry)) = inner.mem.remove_entry(*key) {
+                // The key's own `String` moves map -> pending -> map.
+                inner.pending.insert(owned);
+                *slot = Some(entry);
+            }
+        }
+        drop(inner);
+        lockorder::assert_blocking_ok("with_blobs_mut borrow");
+        Ok(f(borrowed.blobs.each_mut().map(|slot| match slot {
+            Some((_, bytes)) => bytes.as_mut_slice(),
+            None => &mut [],
+        })))
+    }
+
     /// Moves a blob to `target`, metering every hop. GPU↔SSD moves are
     /// forced through the host tier (no GPUDirect on consumer GPUs,
     /// §III-C), so they record two hops *and* require transient host space.
@@ -752,31 +819,8 @@ impl TieredStore {
     /// but no host-tier residency is consumed (modeling a bounce buffer
     /// too small to count).
     fn spill_gpu_to_ssd(&self, key: &str) -> Result<(), StorageError> {
-        let mut inner = self.lock_key(key);
-        let bytes = match inner.mem.get(key) {
-            Some((Tier::Gpu, data)) => data.clone(),
-            _ => return Err(StorageError::NotFound(key.to_string())),
-        };
-        let len = bytes.len() as u64;
-        self.check_fits(&inner, Tier::Ssd, len)?;
-        Self::add_used(&mut inner, Tier::Ssd, len as i64);
-        inner.pending.insert(key.to_string());
-        let (mut inner, res) = self.run_unlocked(inner, || {
-            self.ssd_io(FaultOp::Write, key, || {
-                fs::write(self.blob_path(key), &bytes)
-            })
-        });
-        match &res {
-            Ok(_) => {
-                inner.mem.remove(key);
-                Self::add_used(&mut inner, Tier::Gpu, -(len as i64));
-                inner.ssd.insert(key.to_string(), SsdLoc::File { len });
-            }
-            Err(_) => Self::add_used(&mut inner, Tier::Ssd, -(len as i64)),
-        }
-        self.unpend(&mut inner, &[key]);
-        drop(inner);
-        res?;
+        let inner = self.lock_key(key);
+        let len = self.evict_to_ssd(inner, key, Tier::Gpu)?;
         for route in [Route::GpuToHost, Route::HostToSsd] {
             let t0 = self.telemetry.enabled().then(|| self.telemetry.now());
             self.traffic.record(route, len);
@@ -794,6 +838,54 @@ impl TieredStore {
             }
         }
         Ok(())
+    }
+
+    /// Writes the memory-tier blob `key` (resident in `tier`) to its own
+    /// SSD file and commits the move, consuming the caller's lock. The
+    /// bytes are taken *out* of the map for the write, which runs with
+    /// the lock released: the key is pending, so no operation can see the
+    /// gap. If the write fails the same bytes go back into `tier`. Commit
+    /// target-first still holds — the source tier keeps counting the blob
+    /// until the file has landed. Returns the blob length.
+    fn evict_to_ssd(
+        &self,
+        mut inner: MutexGuard<'_, Inner>,
+        key: &str,
+        tier: Tier,
+    ) -> Result<u64, StorageError> {
+        let len = match inner.mem.get(key) {
+            Some((t, b)) if *t == tier => b.len() as u64,
+            _ => return Err(StorageError::NotFound(key.to_string())),
+        };
+        self.check_fits(&inner, Tier::Ssd, len)?;
+        let Some((owned, (_, bytes))) = inner.mem.remove_entry(key) else {
+            return Err(StorageError::NotFound(key.to_string()));
+        };
+        Self::add_used(&mut inner, Tier::Ssd, len as i64);
+        // The key's own `String` moves map -> pending -> map.
+        inner.pending.insert(owned);
+        let (mut inner, res) = self.run_unlocked(inner, || {
+            self.ssd_io(FaultOp::Write, key, || {
+                fs::write(self.blob_path(key), &bytes)
+            })
+        });
+        let owned = inner.pending.take(key).unwrap_or_else(|| key.to_string());
+        let written = match res {
+            Ok(()) => {
+                inner.ssd.insert(owned, SsdLoc::File { len });
+                Self::add_used(&mut inner, tier, -(len as i64));
+                Ok(bytes)
+            }
+            Err(e) => {
+                inner.mem.insert(owned, (tier, bytes));
+                Self::add_used(&mut inner, Tier::Ssd, -(len as i64));
+                Err(e)
+            }
+        };
+        self.pending_cv.notify_all();
+        drop(inner);
+        // The written copy is freed outside the lock.
+        written.map(|bytes| bytes.len() as u64)
     }
 
     fn move_one_hop(&self, key: &str, target: Tier) -> Result<(), StorageError> {
@@ -825,48 +917,25 @@ impl TieredStore {
         // released and the key marked pending.
         let len = match (current, target) {
             (Tier::Gpu, Tier::Host) | (Tier::Host, Tier::Gpu) => {
-                // Pure in-memory hop: no file I/O, finish under the lock.
-                let bytes = match inner.mem.get(key) {
-                    Some((_, b)) => b.clone(),
+                // Pure in-memory hop: the bytes stay where they are and
+                // the entry is retagged — ownership crosses the tier
+                // boundary, not a copy. The source still counts the blob
+                // while we check the target, which is how double-buffered
+                // transfers behave.
+                let len = match inner.mem.get(key) {
+                    Some((_, b)) => b.len() as u64,
                     None => return Err(StorageError::NotFound(key.to_string())),
                 };
-                let len = bytes.len() as u64;
-                // The source still holds the blob while we check the
-                // target, which is how double-buffered transfers behave.
                 self.check_fits(&inner, target, len)?;
-                inner.mem.insert(key.to_string(), (target, bytes));
+                if let Some(entry) = inner.mem.get_mut(key) {
+                    entry.0 = target;
+                }
                 Self::add_used(&mut inner, target, len as i64);
                 Self::add_used(&mut inner, current, -(len as i64));
                 drop(inner);
                 len
             }
-            (_, Tier::Ssd) => {
-                let bytes = match inner.mem.get(key) {
-                    Some((_, b)) => b.clone(),
-                    None => return Err(StorageError::NotFound(key.to_string())),
-                };
-                let len = bytes.len() as u64;
-                self.check_fits(&inner, Tier::Ssd, len)?;
-                Self::add_used(&mut inner, Tier::Ssd, len as i64);
-                inner.pending.insert(key.to_string());
-                let (mut inner, res) = self.run_unlocked(inner, || {
-                    self.ssd_io(FaultOp::Write, key, || {
-                        fs::write(self.blob_path(key), &bytes)
-                    })
-                });
-                match &res {
-                    Ok(_) => {
-                        inner.ssd.insert(key.to_string(), SsdLoc::File { len });
-                        inner.mem.remove(key);
-                        Self::add_used(&mut inner, current, -(len as i64));
-                    }
-                    Err(_) => Self::add_used(&mut inner, Tier::Ssd, -(len as i64)),
-                }
-                self.unpend(&mut inner, &[key]);
-                drop(inner);
-                res?;
-                len
-            }
+            (_, Tier::Ssd) => self.evict_to_ssd(inner, key, current)?,
             (Tier::Ssd, _) => {
                 let loc = match inner.ssd.get(key) {
                     Some(loc) => *loc,
@@ -1040,6 +1109,28 @@ impl TieredStore {
     }
 }
 
+/// Blobs lent out by [`TieredStore::with_blobs_mut`]. Dropping it — on
+/// return or on unwind — puts every buffer back into its tier and clears
+/// the keys' pending marks.
+struct Borrowed<'s, const N: usize> {
+    store: &'s TieredStore,
+    keys: [&'s str; N],
+    blobs: [Option<(Tier, Vec<u8>)>; N],
+}
+
+impl<const N: usize> Drop for Borrowed<'_, N> {
+    fn drop(&mut self) {
+        let mut inner = self.store.inner.lock();
+        for (key, slot) in self.keys.iter().zip(&mut self.blobs) {
+            if let Some(entry) = slot.take() {
+                let owned = inner.pending.take(*key).unwrap_or_else(|| key.to_string());
+                inner.mem.insert(owned, entry);
+            }
+        }
+        self.store.pending_cv.notify_all();
+    }
+}
+
 impl Drop for TieredStore {
     fn drop(&mut self) {
         let _ = fs::remove_dir_all(&self.config.ssd_dir);
@@ -1173,6 +1264,126 @@ mod tests {
             store.remove("nope"),
             Err(StorageError::NotFound(_))
         ));
+    }
+
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 31 % 251) as u8).collect()
+    }
+
+    #[test]
+    fn gpu_host_retag_keeps_bytes_and_traffic_counts() {
+        let store = TieredStore::new(TierConfig::unbounded_temp()).unwrap();
+        store.put("r", Tier::Gpu, pattern(300)).unwrap();
+        store.move_to("r", Tier::Host).unwrap();
+        assert_eq!(store.tier_of("r").unwrap(), Tier::Host);
+        assert_eq!(store.read("r").unwrap(), pattern(300));
+        assert_eq!((store.used(Tier::Gpu), store.used(Tier::Host)), (0, 300));
+        store.move_to("r", Tier::Gpu).unwrap();
+        assert_eq!(store.read("r").unwrap(), pattern(300));
+        assert_eq!((store.used(Tier::Gpu), store.used(Tier::Host)), (300, 0));
+        let s = store.traffic();
+        assert_eq!(s.bytes(Route::GpuToHost), 300);
+        assert_eq!(s.bytes(Route::HostToGpu), 300);
+        assert_eq!(s.total(), 600);
+    }
+
+    #[test]
+    fn take_hands_over_bytes_and_frees_the_tier() {
+        let store = TieredStore::new(TierConfig::unbounded_temp()).unwrap();
+        store.put("h", Tier::Host, pattern(64)).unwrap();
+        store.put("s", Tier::Ssd, pattern(32)).unwrap();
+        assert_eq!(store.take("h").unwrap(), pattern(64));
+        assert_eq!(store.take("s").unwrap(), pattern(32));
+        assert!(!store.contains("h") && !store.contains("s"));
+        assert_eq!((store.used(Tier::Host), store.used(Tier::Ssd)), (0, 0));
+        assert_eq!(store.traffic().total(), 0, "take meters no transfer");
+        assert!(matches!(store.take("h"), Err(StorageError::NotFound(_))));
+    }
+
+    #[test]
+    fn borrow_updates_in_place_and_keeps_tier_accounting() {
+        let store = TieredStore::new(TierConfig::unbounded_temp()).unwrap();
+        store.put("a", Tier::Host, vec![1u8; 16]).unwrap();
+        store.put("b", Tier::Gpu, vec![2u8; 8]).unwrap();
+        store.put("s", Tier::Ssd, vec![3u8; 4]).unwrap();
+        let lens = store
+            .with_blobs_mut(["a", "b"], |[a, b]| {
+                a[0] = 9;
+                b[7] = 5;
+                a.len() + b.len()
+            })
+            .unwrap();
+        assert_eq!(lens, 24);
+        assert_eq!(store.read("a").unwrap()[..2], [9, 1]);
+        assert_eq!(store.read("b").unwrap()[7], 5);
+        assert_eq!(store.tier_of("b").unwrap(), Tier::Gpu);
+        assert_eq!(
+            (
+                store.used(Tier::Host),
+                store.used(Tier::Gpu),
+                store.used(Tier::Ssd)
+            ),
+            (16, 8, 4)
+        );
+        assert_eq!(store.traffic().total(), 0, "a borrow crosses no tier");
+        // Rejected borrows lend nothing and leave no key pending.
+        assert!(matches!(
+            store.with_blobs_mut(["a", "a"], |_| ()),
+            Err(StorageError::NotInMemory(_))
+        ));
+        assert!(matches!(
+            store.with_blobs_mut(["a", "s"], |_| ()),
+            Err(StorageError::NotInMemory(_))
+        ));
+        assert!(matches!(
+            store.with_blobs_mut(["a", "nope"], |_| ()),
+            Err(StorageError::NotFound(_))
+        ));
+        assert_eq!(store.read("a").unwrap().len(), 16);
+        store.remove("a").unwrap();
+        assert_eq!(store.used(Tier::Host), 0);
+    }
+
+    #[test]
+    fn borrowed_keys_wait_and_unrelated_keys_do_not() {
+        let store = std::sync::Arc::new(TieredStore::new(TierConfig::unbounded_temp()).unwrap());
+        store.put("k", Tier::Host, vec![0u8; 8]).unwrap();
+        store.put("other", Tier::Host, vec![7u8; 8]).unwrap();
+        let s = store.clone();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let borrower = std::thread::spawn(move || {
+            s.with_blobs_mut(["k"], |[k]| {
+                tx.send(()).unwrap();
+                std::thread::sleep(std::time::Duration::from_millis(150));
+                k.fill(4);
+            })
+            .unwrap();
+        });
+        rx.recv().unwrap();
+        // Mid-borrow: an unrelated key is served at once...
+        let t0 = std::time::Instant::now();
+        assert_eq!(store.read("other").unwrap(), vec![7u8; 8]);
+        assert!(t0.elapsed().as_secs_f64() < 0.1, "unrelated key waited");
+        // ...and the borrowed key is read only once its bytes are back.
+        assert_eq!(store.read("k").unwrap(), vec![4u8; 8]);
+        borrower.join().unwrap();
+    }
+
+    #[test]
+    fn borrow_is_returned_when_the_closure_panics() {
+        let store = TieredStore::new(TierConfig::unbounded_temp()).unwrap();
+        store.put("k", Tier::Host, vec![6u8; 8]).unwrap();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            store.with_blobs_mut(["k"], |[k]| {
+                k[0] = 1;
+                panic!("update failed");
+            })
+        }));
+        assert!(caught.is_err());
+        let mut want = vec![6u8; 8];
+        want[0] = 1;
+        assert_eq!(store.read("k").unwrap(), want);
+        assert_eq!(store.used(Tier::Host), 8);
     }
 
     #[test]
@@ -1409,6 +1620,39 @@ mod fault_tests {
         assert_eq!(store.tier_of("k").unwrap(), Tier::Host);
         assert_eq!(store.read("k").unwrap(), vec![3u8; 16]);
         assert_eq!(store.used(Tier::Ssd), 0);
+    }
+
+    #[test]
+    fn faulted_host_to_ssd_move_restores_the_blob_bitwise() {
+        let store = TieredStore::new(TierConfig::unbounded_temp()).unwrap();
+        store.set_retry_policy(RetryPolicy::none());
+        let blob: Vec<u8> = (0..1000).map(|i| (i * 7 % 256) as u8).collect();
+        store.put("k", Tier::Host, blob.clone()).unwrap();
+        store.put("g", Tier::Gpu, blob.clone()).unwrap();
+        let plan = Arc::new(FaultPlan::new());
+        plan.fault_on_key_op("k", FaultOp::Write, FaultKind::Permanent);
+        plan.fault_on_key_op("g", FaultOp::Write, FaultKind::Permanent);
+        store.set_fault_plan(Some(plan));
+        assert!(matches!(
+            store.move_to("k", Tier::Ssd),
+            Err(StorageError::Faulted { .. })
+        ));
+        // The bytes left the map for the write and came back untouched.
+        assert_eq!(store.tier_of("k").unwrap(), Tier::Host);
+        assert_eq!(store.read("k").unwrap(), blob);
+        assert_eq!((store.used(Tier::Host), store.used(Tier::Ssd)), (1000, 0));
+        assert_eq!(store.traffic().bytes(Route::HostToSsd), 0);
+        // GPU -> SSD: the first hop lands, the second faults; the blob
+        // stays whole in host memory.
+        assert!(store.move_to("g", Tier::Ssd).is_err());
+        assert_eq!(store.tier_of("g").unwrap(), Tier::Host);
+        assert_eq!(store.read("g").unwrap(), blob);
+        assert_eq!((store.used(Tier::Host), store.used(Tier::Gpu)), (2000, 0));
+        // Once the drive recovers the same bytes move on.
+        store.set_fault_plan(None);
+        store.move_to("k", Tier::Ssd).unwrap();
+        assert_eq!(store.used(Tier::Host), 1000);
+        assert_eq!(store.read("k").unwrap(), blob);
     }
 
     #[test]

@@ -54,47 +54,14 @@ impl Adam {
         }
     }
 
-    /// Applies one Adam update to `params` given `grads`.
-    ///
-    /// The update is elementwise, so it is split into contiguous bands —
-    /// one per worker thread — without changing any result bit; see
-    /// [`crate::parallel`].
+    /// Applies one Adam update to `params` given `grads`: advances the
+    /// step clock and runs [`adam_update`] over this state's moments.
     ///
     /// # Panics
     /// If lengths disagree with the state.
     pub fn step(&mut self, params: &mut [f32], grads: &[f32], hp: &AdamParams) {
-        assert_eq!(params.len(), self.m.len(), "param/state length");
-        assert_eq!(grads.len(), self.m.len(), "grad/state length");
+        adam_update(params, grads, &mut self.m, &mut self.v, self.t + 1, hp);
         self.t += 1;
-        let t = self.t as i32;
-        let bc1 = 1.0 - hp.beta1.powi(t);
-        let bc2 = 1.0 - hp.beta2.powi(t);
-        let n = params.len();
-        let threads = crate::parallel::num_threads();
-        if threads <= 1 || n < 2 * crate::parallel::MIN_BLOCK {
-            step_band(params, grads, &mut self.m, &mut self.v, hp, bc1, bc2);
-            return;
-        }
-        let per = n.div_ceil(threads);
-        crossbeam::thread::scope(|s| {
-            let mut p_rest = &mut params[..];
-            let mut m_rest = &mut self.m[..];
-            let mut v_rest = &mut self.v[..];
-            let mut off = 0usize;
-            while !p_rest.is_empty() {
-                let take = per.min(p_rest.len());
-                let (pb, pt) = p_rest.split_at_mut(take);
-                let (mb, mt) = m_rest.split_at_mut(take);
-                let (vb, vt) = v_rest.split_at_mut(take);
-                p_rest = pt;
-                m_rest = mt;
-                v_rest = vt;
-                let gb = &grads[off..off + take];
-                s.spawn(move |_| step_band(pb, gb, mb, vb, hp, bc1, bc2));
-                off += take;
-            }
-        })
-        .expect("adam worker panicked");
     }
 
     /// Serializes the moments as one flat `[m..., v...]` f32 buffer — the
@@ -151,6 +118,61 @@ impl Adam {
         self.v.copy_from_slice(&flat[n..]);
         self.t = t;
     }
+}
+
+/// One Adam update over borrowed state: `m` and `v` are the first and
+/// second moments of `params`, and `t` is the 1-based number of this
+/// update (bias correction uses it). The moments may live anywhere — an
+/// [`Adam`]'s own vectors, or a stored `[m..., v...]` blob viewed in
+/// place, which is how the out-of-core optimizer updates state without
+/// copying it.
+///
+/// The update is elementwise, so it is split into contiguous bands —
+/// one per worker thread — without changing any result bit; see
+/// [`crate::parallel`].
+///
+/// # Panics
+/// If the lengths of `params`, `grads`, `m` and `v` disagree.
+pub fn adam_update(
+    params: &mut [f32],
+    grads: &[f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    t: u64,
+    hp: &AdamParams,
+) {
+    assert_eq!(params.len(), m.len(), "param/state length");
+    assert_eq!(grads.len(), m.len(), "grad/state length");
+    assert_eq!(v.len(), m.len(), "moment lengths");
+    let t = t as i32;
+    let bc1 = 1.0 - hp.beta1.powi(t);
+    let bc2 = 1.0 - hp.beta2.powi(t);
+    let n = params.len();
+    let threads = crate::parallel::num_threads();
+    if threads <= 1 || n < 2 * crate::parallel::MIN_BLOCK {
+        step_band(params, grads, m, v, hp, bc1, bc2);
+        return;
+    }
+    let per = n.div_ceil(threads);
+    crossbeam::thread::scope(|s| {
+        let mut p_rest = params;
+        let mut m_rest = m;
+        let mut v_rest = v;
+        let mut off = 0usize;
+        while !p_rest.is_empty() {
+            let take = per.min(p_rest.len());
+            let (pb, pt) = p_rest.split_at_mut(take);
+            let (mb, mt) = m_rest.split_at_mut(take);
+            let (vb, vt) = v_rest.split_at_mut(take);
+            p_rest = pt;
+            m_rest = mt;
+            v_rest = vt;
+            let gb = &grads[off..off + take];
+            s.spawn(move |_| step_band(pb, gb, mb, vb, hp, bc1, bc2));
+            off += take;
+        }
+    })
+    .expect("adam worker panicked");
 }
 
 /// The per-element Adam update over one contiguous band.

@@ -30,7 +30,7 @@ pub mod parallel;
 pub mod scratch;
 pub mod tensor;
 
-pub use adam::{Adam, AdamParams};
+pub use adam::{adam_update, Adam, AdamParams};
 pub use attention::{
     attn_backend, attn_backward_into, attn_backward_naive_into, attn_forward_into,
     attn_forward_naive_into, set_attn_backend, AttnBackend,

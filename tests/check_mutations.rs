@@ -2,9 +2,10 @@
 //!
 //! Each of the three core sync protocols is modeled twice: the pristine
 //! protocol must pass full bounded exploration, and a seeded-bug mutant
-//! — lost-notify condvar, lock-order-inverted two-lock, torn-read
-//! seqlock — must be caught with a finding that names the lock/atomic
-//! and carries an interleaving witness.
+//! — lost-notify condvar, forgotten borrow re-insert, skipped pending
+//! wait, lock-order-inverted two-lock, torn-read seqlock — must be
+//! caught with a finding that names the lock/atomic and carries an
+//! interleaving witness.
 
 use ratel_check::models::{exec, locks, pending, seqlock};
 use ratel_check::{lockorder, CheckFailure, Explorer, FailureKind, Report};
@@ -69,6 +70,46 @@ fn lost_notify_mutant_is_caught() {
             .iter()
             .any(|line| line.contains("store.inner")),
         "witness must show the interleaving:\n{failure}"
+    );
+}
+
+#[test]
+fn forgotten_borrow_reinsert_mutant_is_caught() {
+    let failure = explore_model(|| pending::run(pending::Variant::ForgetReinsert))
+        .expect_err("forgotten re-insert must be caught");
+    assert_eq!(failure.kind, FailureKind::Assertion);
+    assert!(
+        failure.message.contains("bytes out of the map")
+            && failure.message.contains("pending = false")
+            && failure.message.contains("store.inner"),
+        "finding must name the lost bytes and the map:\n{failure}"
+    );
+    assert!(
+        failure
+            .witness
+            .iter()
+            .any(|line| line.contains("(borrower)") && line.contains("store.inner")),
+        "witness must show the borrow:\n{failure}"
+    );
+}
+
+#[test]
+fn skipped_pending_wait_mutant_is_caught() {
+    let failure = explore_model(|| pending::run(pending::Variant::SkipPendingWait))
+        .expect_err("reader skipping the pending wait must be caught");
+    assert_eq!(failure.kind, FailureKind::Assertion);
+    assert!(
+        failure.message.contains("bytes out of the map")
+            && failure.message.contains("pending = true")
+            && failure.message.contains("store.inner"),
+        "finding must show the reader inside a pending window:\n{failure}"
+    );
+    assert!(
+        failure
+            .witness
+            .iter()
+            .any(|line| line.contains("(reader)") && line.contains("store.inner")),
+        "witness must show the reader's lookup:\n{failure}"
     );
 }
 
